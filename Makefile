@@ -28,10 +28,11 @@ accuracy:
 figures:
 	python examples/regenerate_experiments.py EXPERIMENTS.md
 
-# Figs 1/4/14 through the parallel, memoised runner at test scale
-# (smoke-tests the whole figure path in well under a minute).
+# Figs 1/4/5/14 through the parallel, memoised runner at test scale
+# (smoke-tests the whole figure path in well under a minute).  Fig 5
+# puts a recall-tracking RunKey through the workers and the memo.
 figures-fast:
-	PYTHONPATH=src python -m repro figure fig1 fig4 fig14 \
+	PYTHONPATH=src python -m repro figure fig1 fig4 fig5 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --verbose
 
 # Same smoke suite with the runtime invariant checkers and differential

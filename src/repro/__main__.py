@@ -193,7 +193,8 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ISPASS'22 translation-conscious caching reproduction")
@@ -319,8 +320,11 @@ def main(argv=None) -> int:
 
     p_list = sub.add_parser("list", help="list benchmarks and figures")
     p_list.set_defaults(func=_cmd_list)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

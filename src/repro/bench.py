@@ -71,10 +71,10 @@ class BenchCase:
 
 #: The pinned matrix.  Memory-pressure workloads at reduced scale: small
 #: caches keep miss/eviction/walk rates high, so the run exercises the
-#: flat-store datapath, the MSHRs, the page-table walker and the
-#: recall trackers rather than idling in hit loops.  ``compute`` is the
-#: hit-friendly counterweight where the ``numpy`` backend's fast path
-#: engages most (see docs/performance.md for the per-backend numbers).
+#: flat-store datapath, the MSHRs and the page-table walker rather
+#: than idling in hit loops.  ``compute`` is the hit-friendly
+#: counterweight where the ``numpy`` backend's fast path engages most
+#: (see docs/performance.md for the per-backend numbers).
 #: Every entry runs under both backends so the regression gate covers
 #: the vectorized core too.  Changing this list invalidates the
 #: committed baseline (see docs/performance.md).
@@ -445,7 +445,7 @@ def add_arguments(parser) -> None:
                              "(default: benchmarks/perf/baseline.json)")
     parser.add_argument("--check-regression", action="store_true",
                         help="exit non-zero when aggregate throughput "
-                             f"drops >{REGRESSION_THRESHOLD:.0%} below "
+                             f"drops >{REGRESSION_THRESHOLD:.0%}% below "
                              "the (machine-scaled) baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="write this run as the committed baseline")

@@ -185,26 +185,6 @@ def first_occurrence_unique(keys: np.ndarray) -> np.ndarray:
     return uniq[np.argsort(first_idx, kind="stable")]
 
 
-def recall_unique_counts(stamps: np.ndarray, starts,
-                         cap: int) -> np.ndarray:
-    """Vectorized recall-distance computation over one tracker set.
-
-    ``stamps`` are one :class:`RecallTracker` set's touch stamps in
-    recency order (oldest first -- the order the per-set ``OrderedDict``
-    yields, since re-touches move keys to the end).  For each query
-    stamp in ``starts`` the scalar code walks backwards counting entries
-    with touch time at or after that stamp, capped at ``cap``; because
-    stamps are strictly increasing in recency order that count is just
-    the number of resident stamps ``>= start`` -- ``searchsorted`` gives
-    it for the whole batch at once.
-    """
-    stamps = _as_i64(stamps)
-    starts = _as_i64(starts)
-    n = int(stamps.shape[0])
-    counts = n - np.searchsorted(stamps, starts, side="left")
-    return np.minimum(counts, cap).astype(I64)
-
-
 # ----------------------------------------------------------------------
 # Mirrors binding kernels to live scalar state
 # ----------------------------------------------------------------------

@@ -393,7 +393,6 @@ class Cache:
         self.mshr.merges = 0
         self.mshr.allocations = 0
         self.mshr.expirations = 0
-        self.mshr.peak_occupancy = 0
         self.mshr.admission_stall_cycles = 0
         if self.recall_translation is not None:
             self.recall_pair = RecallPair(f"{self.name}/translation",

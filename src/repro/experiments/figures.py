@@ -295,7 +295,9 @@ def _recall_figure(figure: str, title: str, kind: str,
                    instructions: int, warmup: int,
                    scale: int) -> FigureResult:
     names = _benchmarks(benchmarks)
-    runs = _run_all(names, None, instructions, warmup, scale)
+    # Recall tracking is off by default; only these figures ask for it.
+    config = default_config(scale).with_(track_recall=True)
+    runs = _run_all(names, config, instructions, warmup, scale)
     bucket_labels = [f"<={b}" for b in RECALL_BUCKETS] + [">50"]
     rows, data = [], {}
     for name in names:

@@ -45,7 +45,7 @@ from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 
 #: Bump when the RunSummary layout changes (invalidates every cache dir).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _RECALL_KINDS = ("translation", "replay")
 _PREFETCH_LEVELS = ("l1d", "l2c", "llc")
@@ -190,7 +190,6 @@ class RunSummary:
                 "prefetch_fills": cache.stats.prefetch_fills,
                 "prefetches_dropped": cache.prefetches_dropped,
                 "mshr_merges": cache.mshr.merges,
-                "mshr_peak_occupancy": cache.mshr.peak_occupancy,
                 "admission_stall_cycles": cache.mshr.admission_stall_cycles,
                 "fills_bypassed": cache.fills_bypassed,
                 "back_invalidations": cache.back_invalidations,

@@ -41,8 +41,6 @@ class MSHR:
         #: Entries retired because their fill time passed (conservation:
         #: allocations - expirations == live entries).
         self.expirations = 0
-        #: Peak simultaneous occupancy observed (bandwidth proxy).
-        self.peak_occupancy = 0
         #: Total cycles of admission delay injected (congestion proxy).
         self.admission_stall_cycles = 0
         #: Request-level span tracer (None unless the run is traced);
@@ -113,42 +111,28 @@ class MSHR:
         return delay
 
     def allocate(self, line_addr: int, fill_cycle: int, now: int) -> int:
-        """Record an outstanding fill (admission already granted)."""
-        self._record(line_addr, fill_cycle, now)
-        return fill_cycle
+        """Record an outstanding fill (admission already granted).
 
-    def allocate_prefetch(self, line_addr: int, fill_cycle: int,
-                          now: int) -> int:
-        """Track a prefetch fill without consuming demand capacity.
-
-        Real designs hold prefetches in a separate prefetch queue; merging
-        a later demand with an in-flight prefetch is exactly the mechanism
-        ATP relies on, so the fill must be visible to :meth:`lookup`.
-        """
-        self._record(line_addr, fill_cycle, now)
-        return fill_cycle
-
-    def _record(self, line_addr: int, fill_cycle: int, now: int) -> None:
-        """Insert one fill.  Entries are NOT eagerly expired here --
-        requests may arrive with out-of-order cycles and must keep merging
-        with fills that are live at *their* time -- so a stale entry being
-        overwritten retires here, and the peak counts only fills actually
-        in flight at ``now`` (stale leftovers are bookkeeping, not
-        occupied slots)."""
-        if line_addr in self._inflight:
+        Entries are NOT eagerly expired here -- requests may arrive with
+        out-of-order cycles and must keep merging with fills that are
+        live at *their* time -- so a stale entry being overwritten
+        retires here."""
+        inflight = self._inflight
+        if line_addr in inflight:
             self.expirations += 1
-        self._inflight[line_addr] = fill_cycle
+        inflight[line_addr] = fill_cycle
         if fill_cycle < self._min_fill:
             self._min_fill = fill_cycle
         self.allocations += 1
-        # Live occupancy never exceeds the raw table size, so the O(n)
-        # live count only runs when the size beats the recorded peak.
-        if len(self._inflight) > self.peak_occupancy:
-            occ = self.occupancy(now)
-            if fill_cycle <= now:  # degenerate same-cycle fill held a slot
-                occ += 1
-            if occ > self.peak_occupancy:
-                self.peak_occupancy = occ
+        return fill_cycle
+
+    #: Track a prefetch fill.  It is recorded exactly like a demand fill,
+    #: but callers skip :meth:`admission_delay` for it: real designs hold
+    #: prefetches in a separate prefetch queue, so they consume no demand
+    #: capacity.  Merging a later demand with an in-flight prefetch is
+    #: exactly the mechanism ATP relies on, so the fill must be visible
+    #: to :meth:`lookup`.
+    allocate_prefetch = allocate
 
     def occupancy(self, now: int) -> int:
         return sum(1 for t in self._inflight.values() if t > now)
@@ -165,9 +149,8 @@ class MSHR:
         :meth:`lookup` *would* return for ``(lines[i], now)``, making the
         kernel directly property-testable against the scalar method.
         The batch engine does not drive admission through this (admission
-        interleaves expiry sweeps with out-of-order arrival cycles, and
-        ``peak_occupancy`` samples depend on per-request sweep points);
-        it exists for whole-cohort merge analysis where the table is
+        interleaves expiry sweeps with out-of-order arrival cycles); it
+        exists for whole-cohort merge analysis where the table is
         known not to change across the batch.
         """
         import numpy as np

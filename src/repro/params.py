@@ -369,8 +369,10 @@ class SimConfig:
     l2c_prefetcher: str = "none"
     #: STLB fill latency applied after a completed page walk.
     stlb_fill_latency: int = 2
-    #: Track recall distances (Figs 5/7/18); small runtime cost.
-    track_recall: bool = True
+    #: Track recall distances at the L2C/LLC/STLB (Figs 5/7/18).  Off by
+    #: default: nothing else reads them, and they add ~7% to the wall
+    #: time of a miss-heavy run (see docs/performance.md).
+    track_recall: bool = False
     #: Simulation backend: "python" (reference scalar loop) or "numpy"
     #: (vectorized batch windows with a scalar fallback for complex
     #: events).  Both are bit-identical by construction and by test.

@@ -181,9 +181,6 @@ class CacheChecker:
                     f"MSHR occupancy {occ} exceeds 2x capacity {bound} "
                     f"({mshr.entries} demand + {cache._prefetch_queue} "
                     f"prefetch): entries are leaking")
-        ctx.require(mshr.peak_occupancy <= bound, cache.name,
-                    f"MSHR peak occupancy {mshr.peak_occupancy} exceeds "
-                    f"2x capacity {bound}: entries are leaking")
         live = len(mshr._inflight) - self._mshr_live_base
         ctx.require(mshr.allocations - mshr.expirations == live, cache.name,
                     f"MSHR conservation: {mshr.allocations} allocations - "

@@ -215,7 +215,6 @@ def hierarchy_counters(hierarchy, core_result=None) -> Dict[str, int]:
         out[f"{level}.back_invalidations"] = cache.back_invalidations
         out[f"{level}.mshr.merges"] = cache.mshr.merges
         out[f"{level}.mshr.allocations"] = cache.mshr.allocations
-        out[f"{level}.mshr.peak_occupancy"] = cache.mshr.peak_occupancy
     for cat, levels in hierarchy.response_distribution.counts.items():
         for lvl, value in sorted(levels.items()):
             if value:

@@ -401,43 +401,3 @@ def test_first_occurrence_unique_matches_dict_order(seed):
             else HIGH_BASE + rng.getrandbits(40) for _ in range(300)]
     out = first_occurrence_unique(np.asarray(keys, dtype=np.int64))
     assert out.tolist() == list(dict.fromkeys(keys))
-
-
-# ----------------------------------------------------------------------
-# Recall kernel vs the tracker's backward walk
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-def test_recall_unique_counts_matches_backward_walk(seed):
-    """Pin the searchsorted form to RecallTracker.on_access's loop.
-
-    ``stamps`` model one set's ``last_seen`` values in recency order --
-    strictly increasing, the invariant the tracker maintains by stamping
-    every touch with an advancing clock.
-    """
-    from repro.cache.batch import recall_unique_counts
-    from repro.stats.recall import _CAP
-
-    rng = random.Random(seed)
-    stamps, t = [], 0
-    for _ in range(rng.randrange(1, 200)):
-        t += rng.randrange(1, 4)
-        stamps.append(t)
-    starts = [rng.randrange(0, t + 2) for _ in range(100)]
-
-    def scalar_count(start: int) -> int:
-        count = 0
-        for stamp in reversed(stamps):      # RecallTracker.on_access
-            if stamp < start or count >= _CAP:
-                break
-            count += 1
-        return count
-
-    out = recall_unique_counts(np.asarray(stamps, dtype=np.int64),
-                               starts, _CAP)
-    assert out.tolist() == [scalar_count(s) for s in starts]
-
-
-def test_recall_unique_counts_empty_set():
-    from repro.cache.batch import recall_unique_counts
-    out = recall_unique_counts(np.zeros(0, dtype=np.int64), [0, 5], 64)
-    assert out.tolist() == [0, 0]

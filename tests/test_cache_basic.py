@@ -265,4 +265,3 @@ def test_reset_stats_clears_congestion_counters():
     assert cache.mshr.admission_stall_cycles == 0
     assert cache.back_invalidations == 0
     assert cache.fills_bypassed == 0
-    assert cache.mshr.peak_occupancy == 0

@@ -196,3 +196,36 @@ def test_scenario_run_unknown_name(capsys):
     assert main(["scenario", "run", "NO-SUCH-SCENARIO",
                  "--no-cache"]) == 1
     assert "scenario error" in capsys.readouterr().err
+
+
+def _command_paths(parser, prefix=()):
+    """Every subcommand path of ``parser``, nested ones included."""
+    import argparse
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield prefix + (name,)
+                yield from _command_paths(child, prefix + (name,))
+
+
+def _all_command_paths():
+    from repro.__main__ import build_parser
+    return sorted(_command_paths(build_parser()))
+
+
+def test_command_paths_cover_known_subcommands():
+    paths = _all_command_paths()
+    for expected in (("bench",), ("figure",), ("trace", "diff"),
+                     ("scenario",), ("serve",), ("top",)):
+        assert expected in paths
+
+
+@pytest.mark.parametrize("path", _all_command_paths(),
+                         ids=lambda path: " ".join(path))
+def test_every_subcommand_renders_help(path, capsys):
+    """Help text goes through argparse's %-formatting, so a stray ``%``
+    in any help string crashes ``--help`` (it once did for ``bench``)."""
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -17,7 +17,9 @@ MID = dict(instructions=20_000, warmup=5_000)
 
 @pytest.fixture(scope="module")
 def baseline_pr():
-    return run_benchmark("pr", **MID)
+    # Recall tracking is opt-in; the Fig 5/7 checks below read it.
+    cfg = default_config().with_(track_recall=True)
+    return run_benchmark("pr", config=cfg, **MID)
 
 
 @pytest.fixture(scope="module")

@@ -62,13 +62,6 @@ def test_prefetch_allocation_bypasses_capacity():
     assert mshr.occupancy(10) == 2
 
 
-def test_peak_occupancy_tracks_demand_allocations():
-    mshr = MSHR(8)
-    for i in range(5):
-        mshr.allocate(i, 1000 + i, 0)
-    assert mshr.peak_occupancy == 5
-
-
 def test_occupancy_counts_only_pending(  ):
     mshr = MSHR(8)
     mshr.allocate(1, 50, 0)
@@ -100,15 +93,6 @@ def test_admission_throttling_entry_expires_lazily():
     assert mshr.admission_delay(now=150) == 0
 
 
-def test_prefetch_allocation_updates_peak_occupancy():
-    """Regression: prefetch fills count toward the bandwidth proxy."""
-    mshr = MSHR(8)
-    mshr.allocate(0x1, 100, 0)
-    mshr.allocate_prefetch(0x2, 120, 0)
-    mshr.allocate_prefetch(0x3, 130, 0)
-    assert mshr.peak_occupancy == 3
-
-
 def test_expiration_counter_balances_allocations():
     """Conservation law the runtime checker relies on:
     allocations - expirations == live entries, at every point."""
@@ -131,20 +115,6 @@ def test_reallocation_of_stale_entry_counts_as_expiration():
     assert mshr.allocations == 2
     assert mshr.expirations == 1
     assert mshr.allocations - mshr.expirations == len(mshr._inflight)
-
-
-def test_peak_occupancy_ignores_stale_entries():
-    """Regression: the peak used to be the raw table size, so lazily
-    retained entries whose fills had long completed inflated the
-    bandwidth proxy past the table's physical capacity."""
-    mshr = MSHR(4)
-    for i in range(4):
-        mshr.allocate(i, 100 + i, 0)
-    assert mshr.peak_occupancy == 4
-    # Much later: all four fills completed long ago but were never
-    # expired.  The new fill is the only one in flight.
-    mshr.allocate(0x50, 1100, now=1000)
-    assert mshr.peak_occupancy == 4  # not 5
 
 
 def test_admission_delay_covers_multiple_completions():
